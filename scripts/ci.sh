@@ -78,12 +78,12 @@ stage_coverage() {
 stage_fuzz() {
     echo "== seeded differential fuzz smoke (all engines, 32 cases) =="
     REPRO_FUZZ_CASES=32 python -m pytest -q tests/test_engine_fuzz.py
-    echo "== fuzz smoke again with in-kernel recording disabled =="
-    # REPRO_SOA_RECORD=off forces the soa engine back onto the
-    # Python-recording fallback for every recording phase — the same
-    # byte-identical contract must hold on that path (smaller budget:
-    # the kill-switch only changes recording phases)
-    REPRO_SOA_RECORD=off REPRO_FUZZ_CASES=12 \
+    echo "== fuzz smoke again with the compiled kernel switched off =="
+    # REPRO_SOA_KERNEL=off makes the soa engine the batched engine,
+    # whose Python march still records and replays phase windows — the
+    # same byte-identical contract must hold on that path (smaller
+    # budget: the main pass already covers batched and reference)
+    REPRO_SOA_KERNEL=off REPRO_FUZZ_CASES=12 \
         python -m pytest -q tests/test_engine_fuzz.py
 }
 

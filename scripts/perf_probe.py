@@ -64,7 +64,7 @@ ENGINES_TIMED = ("reference", "batched", "soa")
 
 #: FFWD_TELEMETRY keys only the soa engine increments — harvested from
 #: its runs (everything else is harvested from the batched runs).
-_SOA_ONLY_FFWD = ("c_recorded_phases", "prologue_reuse")
+_SOA_ONLY_FFWD = ("prologue_reuse",)
 
 
 def build_parser() -> argparse.ArgumentParser:

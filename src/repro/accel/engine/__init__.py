@@ -21,13 +21,13 @@ loop, so it exists in two interchangeable implementations:
   compiled structure-of-arrays kernel (``_soa_march.c``): FIFO banks as
   preallocated int64/float64 rings with head/occupancy vectors, routing
   as flat ``table[stage][pos][dest]`` tensors, one C call per scatter
-  phase.  Recording phases march in C too — the kernel logs the window
-  memo's structure stream in companion buffers while computing real
-  float values (``$REPRO_SOA_RECORD=off`` restores the Python-recording
-  fallback) — and tProperty stays resident across phases, reseeded only
-  at the delivered vertices.  Undeclared value-plane kernels fall back
-  to the inherited batched march; no compiler means the whole engine
-  degrades to batched semantics (still byte-identical).
+  phase.  Every phase marches in C — the window memo is batched-only,
+  because at C speed a march beats a Python replay — and tProperty
+  stays resident across phases, reseeded only at the delivered
+  vertices.  Undeclared value-plane kernels, or no loadable kernel
+  (no compiler, ``$REPRO_SOA_KERNEL=off``; reported by one
+  ``RuntimeWarning``), make the whole run the batched engine (still
+  byte-identical).
 
 The package mirrors the decomposition the paper argues for in
 hardware — no central blob, one module per concern:
@@ -45,10 +45,11 @@ hardware — no central blob, one module per concern:
 ``edgestage.py``   site-② edge-access stages
 ``propagation.py`` site-③ propagation adapters over the fast networks
 ``soa.py``         the soa engine: SoA state marshalling + the C seam
-``soakernel.py``   compile/cache/load of ``_soa_march.c`` (kill-switches
-                   ``$REPRO_SOA_KERNEL=off``, ``$REPRO_SOA_RECORD=off``)
-``windows.py``     whole-phase structural windows: phase programs, the
-                   per-subnetwork-keyed memo, recording shims
+``soakernel.py``   compile/cache/load of ``_soa_march.c`` (kill-switch
+                   ``$REPRO_SOA_KERNEL=off``), fallback reason + warning
+``windows.py``     whole-phase structural windows for the Python march:
+                   phase programs, the per-subnetwork-keyed memo,
+                   recording shims
 =================  ====================================================
 
 **Equivalence contract**: both engines must produce *identical*

@@ -254,8 +254,8 @@ class BatchedEngine:
     def scatter(self, active, sprop_all, tprop: list, stats) -> None:
         """Memo prologue (replay / partial replay / record decision), then
         the cycle march.  The march itself is a separate method so a
-        subclassing engine (``soa``) can swap the marcher while reusing
-        the whole window machinery unchanged."""
+        subclassing engine (``soa``) can swap the marcher; with
+        ``phase_memo`` set to None every phase goes straight to it."""
         memo = self.phase_memo
         record_key = None
         if memo is not None:

@@ -24,6 +24,8 @@ enforces the contract over
   cache-token sharing, and the tracer's reference-only restriction.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -448,18 +450,47 @@ class TestEngineAlternation:
 
     def test_soa_without_kernel_degrades_to_batched(self, monkeypatch):
         """No compiled kernel (``REPRO_SOA_KERNEL=off`` or no compiler)
-        must leave the soa engine byte-identical via the inherited
-        batched march."""
+        makes the soa engine the batched engine, window memo included,
+        byte-identical to the reference."""
         import repro.accel.engine.soa as soa_module
         monkeypatch.setattr(soa_module, "load_kernel", lambda: None)
+        monkeypatch.setattr(soa_module, "warn_kernel_unavailable",
+                            lambda: None)
         graph = rmat(7, 5.0, seed=17, name="rmat7-17")
-        for algorithm in ("SSSP", "PR"):
-            bare = simulate(higraph(), graph, _make_algorithm(algorithm),
-                            engine="soa")
-            ref = simulate(higraph(), graph, _make_algorithm(algorithm),
+        for algorithm, kwargs in (("SSSP", {}), ("PR", {"iterations": 6})):
+            sim = AcceleratorSim(higraph(), graph,
+                                 make_algorithm(algorithm, **kwargs),
+                                 engine="soa")
+            bare = sim.run(source=0)
+            ref = simulate(higraph(), graph,
+                           make_algorithm(algorithm, **kwargs),
                            engine="reference")
             assert bare.stats.to_dict() == ref.stats.to_dict()
             assert np.array_equal(bare.properties, ref.properties)
+        # the PR run still recorded and replayed phase windows
+        assert sim.engine.phase_memo is not None
+        assert sim.engine.ffwd_windows > 0
+
+    def test_soa_with_kernel_marches_every_phase(self):
+        """With the kernel bound, the soa engine never consults the
+        window memo: every phase is one C march."""
+        from repro.accel.engine import FFWD_TELEMETRY
+        from repro.accel.engine.soakernel import load_kernel
+        if load_kernel() is None:
+            pytest.skip("compiled kernel unavailable on this host")
+        graph = rmat(8, 6.0, seed=23, name="rmat8-23")
+        for maker in (higraph, graphdyns, higraph_mini):
+            sim = AcceleratorSim(maker(), graph,
+                                 make_algorithm("PR", iterations=6),
+                                 engine="soa")
+            res = sim.run(source=0)
+            assert sim.engine.phase_memo is None
+            assert FFWD_TELEMETRY["windows"] == 0
+            assert FFWD_TELEMETRY["cycles_simulated"] > 0
+            ref = simulate(maker(), graph, make_algorithm("PR", iterations=6),
+                           engine="reference")
+            assert res.stats.to_dict() == ref.stats.to_dict()
+            assert np.array_equal(res.properties, ref.properties)
 
     def test_reachability_fuzzes_through_soa(self):
         """REACH declares max-reduce with an identity process kernel —
@@ -472,6 +503,71 @@ class TestEngineAlternation:
                            engine=engine)
             assert res.stats.to_dict() == ref.stats.to_dict(), engine
             assert np.array_equal(ref.properties, res.properties)
+
+
+class TestKernelLoading:
+    """Fault injection on the compiled kernel's build/load path: every
+    failure ends in a correct result, and a lost kernel is reported."""
+
+    @staticmethod
+    def _assert_soa_matches_reference():
+        graph = rmat(7, 5.0, seed=17, name="rmat7-17")
+        sim = AcceleratorSim(higraph(), graph,
+                             make_algorithm("PR", iterations=3),
+                             engine="soa")
+        res = sim.run(source=0)
+        ref = simulate(higraph(), graph, make_algorithm("PR", iterations=3),
+                       engine="reference")
+        assert res.stats.to_dict() == ref.stats.to_dict()
+        assert np.array_equal(res.properties, ref.properties)
+        return sim.engine
+
+    def test_truncated_cached_kernel_is_quarantined_and_rebuilt(
+            self, tmp_path, monkeypatch):
+        from repro.accel.engine import soakernel
+        if soakernel._find_compiler() is None:
+            pytest.skip("no C compiler on this host")
+        monkeypatch.setenv(soakernel.CACHE_ENV_VAR, str(tmp_path))
+        monkeypatch.delenv(soakernel.KERNEL_ENV_VAR, raising=False)
+        so_path = soakernel._cached_path(soakernel._SOURCE.read_text())
+        assert soakernel._build(soakernel._SOURCE, so_path) is None
+        so_path.write_bytes(so_path.read_bytes()[:100])   # torn write
+        monkeypatch.setattr(soakernel, "_LIB", False)
+        monkeypatch.setattr(soakernel, "_FAILURE", soakernel._FAILURE)
+        assert soakernel.load_kernel() is not None
+        assert so_path.stat().st_size > 100
+        assert self._assert_soa_matches_reference()._st is not None
+
+    def test_compile_failure_warns_once_with_the_compiler_output(
+            self, tmp_path, monkeypatch):
+        from repro.accel.engine import soakernel
+        cc = tmp_path / "failing-cc"
+        cc.write_text("#!/bin/sh\n"
+                      "echo 'kernel.c:1: error: injected failure' >&2\n"
+                      "exit 3\n")
+        cc.chmod(0o755)
+        monkeypatch.setenv("CC", str(cc))
+        monkeypatch.setenv(soakernel.CACHE_ENV_VAR, str(tmp_path / "cache"))
+        monkeypatch.delenv(soakernel.KERNEL_ENV_VAR, raising=False)
+        monkeypatch.setattr(soakernel, "_LIB", False)
+        monkeypatch.setattr(soakernel, "_FAILURE", soakernel._FAILURE)
+        monkeypatch.setattr(soakernel, "_WARNED", False)
+        with pytest.warns(RuntimeWarning,
+                          match="exited 3: kernel.c:1: error: injected"):
+            engine = self._assert_soa_matches_reference()
+        assert engine._st is None and engine.phase_memo is not None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # once per process
+            self._assert_soa_matches_reference()
+
+    def test_kill_switch_is_named_in_the_warning(self, monkeypatch):
+        from repro.accel.engine import soakernel
+        monkeypatch.setenv(soakernel.KERNEL_ENV_VAR, "off")
+        monkeypatch.setattr(soakernel, "_LIB", False)
+        monkeypatch.setattr(soakernel, "_FAILURE", soakernel._FAILURE)
+        monkeypatch.setattr(soakernel, "_WARNED", False)
+        with pytest.warns(RuntimeWarning, match="REPRO_SOA_KERNEL"):
+            self._assert_soa_matches_reference()
 
 
 class TestPartialRepeat:
@@ -610,7 +706,7 @@ class TestFastForwardTelemetry:
                              "cycles_simulated": 0, "events": 0,
                              "partial_windows": 0,
                              "front_cycles_resimulated": 0,
-                             "c_recorded_phases": 0, "prologue_reuse": 0}
+                             "prologue_reuse": 0}
         graph = rmat(8, 6.0, seed=23, name="rmat8-23")
         simulate(higraph_mini(), graph, make_algorithm("PR", iterations=6),
                  engine="batched")
@@ -689,102 +785,3 @@ class TestBackendStateIsolation:
         # poke one sim's sink vector usage by running them turn-about
         results = [sim.run(source=0).stats.to_dict() for sim in sims]
         assert results == solo
-
-
-class TestInKernelRecording:
-    """C-recorded vs Python-recorded phase programs (ABI 2).
-
-    The soa engine records phases inside the compiled kernel: slot-id
-    companion rings shadow the real float march, and the assembled
-    :class:`PhaseProgram` must be interchangeable with one the Python
-    recording shims would have produced for the same phase — same
-    structure log, same deltas, same end state — and programs of both
-    origins must replay side by side in one run.
-    """
-
-    @staticmethod
-    def _per_dv(prog):
-        ordered = {}
-        for dv, s in zip(prog.deliver_dv, prog.deliver_slots):
-            ordered.setdefault(dv, []).append(s)
-        return ordered
-
-    def _memo_programs(self, engine_name, iterations=6):
-        graph = rmat(8, 6.0, seed=23, name="rmat8-23")
-        sim = AcceleratorSim(graphdyns(), graph,
-                             make_algorithm("PR", iterations=iterations),
-                             engine=engine_name)
-        result = sim.run(source=0)
-        return sim.engine.phase_memo.programs, result
-
-    def test_c_recorded_programs_equal_python_recorded(self):
-        c_programs, c_res = self._memo_programs("soa")
-        py_programs, py_res = self._memo_programs("batched")
-        assert c_res.stats.to_dict() == py_res.stats.to_dict()
-        assert set(c_programs) == set(py_programs)
-        assert c_programs, "no phase was recorded at all"
-        for key, cp in c_programs.items():
-            pp = py_programs[key]
-            assert np.array_equal(np.asarray(cp.news_e),
-                                  np.asarray(pp.news_e))
-            assert list(cp.merge_a) == list(pp.merge_a)
-            assert list(cp.merge_b) == list(pp.merge_b)
-            # Delivery logs may interleave channels differently (the
-            # batched engine bulk-drains queue by queue; the kernel
-            # ticks cycle by cycle) but each destination vertex lives
-            # on one channel, so the per-dv slot subsequence — the part
-            # the value pass is sensitive to — must match exactly.
-            assert self._per_dv(cp) == self._per_dv(pp)
-            assert np.array_equal(cp.leaf_u, pp.leaf_u)
-            assert cp.stat_deltas == pp.stat_deltas
-            assert cp.counter_deltas == pp.counter_deltas
-            assert cp.end_state == pp.end_state
-            assert cp.cycles == pp.cycles
-
-    def test_c_front_trace_is_the_skip_expansion_of_python_trace(self):
-        """A C trace has no skips — idle frontend ticks stand in for the
-        Python recorder's bulk-drain ``skip(k)`` entries.  Expanding the
-        Python trace's skips into empty ticks must reproduce the C trace
-        exactly (same pulls, same retires, cycle for cycle)."""
-        c_programs, _ = self._memo_programs("soa")
-        py_programs, _ = self._memo_programs("batched")
-        compared = 0
-        for key, cp in c_programs.items():
-            ct, pt = cp.front_trace, py_programs[key].front_trace
-            if ct.skips:        # soa fell back to Python recording
-                continue
-            exp_pulls, exp_retires = list(pt.pulls), list(pt.retires)
-            for t, k in sorted(pt.skips, reverse=True):
-                exp_pulls[t:t] = [()] * k
-                exp_retires[t:t] = [()] * k
-            assert list(ct.pulls) == exp_pulls
-            assert list(ct.retires) == exp_retires
-            compared += 1
-        from repro.accel.engine.soakernel import load_kernel, record_disabled
-        if load_kernel() is not None and not record_disabled():
-            assert compared > 0
-
-    def test_mixed_c_and_python_recordings_in_one_run(self):
-        """Alternate the recorder per phase: programs recorded in C and
-        in Python coexist in one memo and replay interchangeably."""
-        graph = rmat(8, 6.0, seed=29, name="rmat8-29")
-        ref = simulate(graphdyns(), graph,
-                       make_algorithm("PR", iterations=10),
-                       engine="reference")
-        sim = AcceleratorSim(graphdyns(), graph,
-                             make_algorithm("PR", iterations=10),
-                             engine="soa")
-        eng = sim.engine
-        orig_scatter = eng.scatter
-        record_ok = eng._record_ok   # buffers exist only when this is set
-        calls = {"n": 0}
-
-        def alternating_scatter(*args, **kwargs):
-            eng._record_ok = record_ok and calls["n"] % 2 == 0
-            calls["n"] += 1
-            return orig_scatter(*args, **kwargs)
-
-        eng.scatter = alternating_scatter
-        res = sim.run(source=0)
-        assert res.stats.to_dict() == ref.stats.to_dict()
-        assert np.array_equal(res.properties, ref.properties)
