@@ -9,8 +9,8 @@ runs — the numbers are identical in every case:
                        set 1 to force serial execution);
 * ``REPRO_CACHE_DIR``  sweep result cache directory (default: no
                        cache, always simulate);
-* ``REPRO_ENGINE``     scatter engine, ``batched`` (default) or
-                       ``reference`` — the engines are cycle-exact
+* ``REPRO_ENGINE``     scatter engine, ``soa`` (default), ``batched``
+                       or ``reference`` — the engines are cycle-exact
                        equivalents, so this only changes wall-clock
                        (see docs/performance.md).
 

@@ -7,7 +7,8 @@
 #                    (cache keys, module state, C seam, fork safety, docs)
 #   ci.sh lint-sarif emit the lint report as SARIF for CI annotation
 #                    (artifact consumed by the upload-sarif workflow job)
-#   ci.sh tests      tier-1 pytest (includes the engine differential suite)
+#   ci.sh tests      tier-1 pytest (engine differential suite included),
+#                    then the default engine must bind the C kernel
 #   ci.sh coverage   engine- and analysis-package line coverage with
 #                    committed floors (stdlib tracer — no pytest-cov)
 #   ci.sh fuzz       seeded differential fuzz smoke (all engines,
@@ -66,6 +67,21 @@ EOF
 stage_tests() {
     echo "== tier-1 tests (includes tests/test_engine_differential.py) =="
     python -m pytest -x -q
+    echo "== default engine binds the compiled kernel (no silent fallback) =="
+    # on a host with a C compiler the default engine must march in C:
+    # the fallback warning is an error here, and the kernel must load
+    if command -v "${CC:-cc}" > /dev/null 2>&1; then
+        python -W error::RuntimeWarning -m repro simulate --dataset VT \
+            --scale 0.03 --algorithm BFS --config higraph > /dev/null
+        python - <<'EOF'
+from repro.accel.engine import resolve_engine, soakernel
+assert resolve_engine() == "soa", resolve_engine()
+assert soakernel.load_kernel() is not None, soakernel._FAILURE
+print("default engine: soa, compiled kernel loaded")
+EOF
+    else
+        echo "no C compiler: the kernel check does not apply"
+    fi
 }
 
 stage_coverage() {
@@ -193,7 +209,7 @@ stage_perf() {
 }
 
 usage() {
-    sed -n '2,23p' "$0"
+    sed -n '2,24p' "$0"
     exit 2
 }
 

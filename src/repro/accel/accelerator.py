@@ -8,8 +8,8 @@ One :class:`AcceleratorSim` executes the VCPM iteration loop:
   (``Reduce`` into tProperty banks).  Simulated cycle by cycle,
   sink-to-source, with every queue capacity and bank port enforced.
   The cycle loop itself is pluggable — see :mod:`repro.accel.engine`
-  for the ``reference`` (golden) and ``batched`` (fast, cycle-exact)
-  scatter engines.
+  for the ``reference`` (golden), ``batched`` (fast, cycle-exact) and
+  ``soa`` (compiled march, the default) scatter engines.
 * **Apply**: a vectorized pass over the Property Array
   (``ceil(V / m)`` cycles — m-parallel streaming), which also builds
   the next iteration's ActiveVertex parts (round-robin in activation
@@ -53,9 +53,9 @@ class SimResult:
 class AcceleratorSim:
     """Simulates one accelerator configuration on one graph + algorithm.
 
-    ``engine`` selects the scatter-phase implementation (``reference``
-    or ``batched``; default: ``$REPRO_ENGINE``, then the package
-    default).  Both engines produce identical :class:`SimStats`.
+    ``engine`` selects the scatter-phase implementation (``reference``,
+    ``batched`` or ``soa``; default: ``$REPRO_ENGINE``, then the package
+    default ``soa``).  All engines produce identical :class:`SimStats`.
     Pipeline tracing samples live component state, which only the
     reference engine has, so a ``tracer`` forces (and requires) it.
     """

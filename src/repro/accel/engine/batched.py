@@ -109,7 +109,11 @@ class BatchedEngine:
         self._counter_sites = (self._front_sites + self._edge_sites
                                + self._prop_sites)
         self._n_front_sites = len(self._front_sites)
-        self._reduce_sites = [(self, "reduce_fn")] + self.prop.reduce_sites()
+        # propagation-side reduce slots the recorder swaps; the engine's
+        # own ``reduce_fn`` is swapped explicitly next to them, because a
+        # ``(self, "reduce_fn")`` entry here would make every engine a
+        # reference cycle that only a full GC pass can free
+        self._reduce_sites = self.prop.reduce_sites()
 
     # ------------------------------------------------------------------
     # Whole-phase structural windows (see repro.accel.engine.windows)
@@ -211,6 +215,7 @@ class BatchedEngine:
     def _finish_recording(self, key: tuple, prog, counters0: list,
                           cycles: int, starved: int, busy: int,
                           reduces: int, sprop_all, tprop: list) -> None:
+        self.reduce_fn = self._true_reduce
         for obj, attr in self._reduce_sites:
             setattr(obj, attr, self._true_reduce)
         self.edge.rec_news = None
@@ -299,6 +304,7 @@ class BatchedEngine:
             caller_tprop = tprop
             tprop = [None] * self.num_vertices
             edge.rec_news = recorder.news_e
+            self.reduce_fn = recorder.reduce
             for obj, attr in self._reduce_sites:
                 setattr(obj, attr, recorder.reduce)
             counters0 = [getattr(obj, attr)

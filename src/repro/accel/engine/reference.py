@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 
 import numpy as np
@@ -25,7 +26,10 @@ class ReferenceEngine:
     name = "reference"
 
     def __init__(self, sim) -> None:
-        self.sim = sim
+        # the simulator owns its engine; a strong back-reference would
+        # make every finished simulation garbage that only a full GC
+        # pass can free
+        self.sim = weakref.proxy(sim)
         config = sim.config
         n, m = config.front_channels, config.back_channels
         sim.frontend = make_frontend(config, sim.graph.offsets)

@@ -19,8 +19,10 @@ from repro.errors import ConfigError
 #: Engine registry, in documentation order.
 ENGINES = ("reference", "batched", "soa")
 
-#: Engine used when neither the caller nor the environment picks one.
-DEFAULT_ENGINE = "batched"
+#: Engine used when neither the caller nor the environment picks one:
+#: the compiled march, which without a loadable kernel runs as the
+#: batched engine and says why in one ``RuntimeWarning``.
+DEFAULT_ENGINE = "soa"
 
 #: Environment override honoured by :func:`resolve_engine` (and hence by
 #: the CLI, the benchmark suite and every sweep worker).

@@ -90,6 +90,9 @@ class ServeDaemon:
         # the (process-global) environment; serialize them so two
         # concurrent reports cannot see each other's scale
         self._regen_lock = threading.Lock()
+        #: open connection handlers, ended at shutdown so none is left
+        #: pending when the loop closes
+        self._connections: set[asyncio.Task] = set()
 
     # ------------------------------------------------------------------
     async def run(self, on_started=None) -> None:
@@ -106,6 +109,9 @@ class ServeDaemon:
         finally:
             self._server.close()
             await self._server.wait_closed()
+            for task in self._connections:
+                task.cancel()
+            await asyncio.gather(*self._connections, return_exceptions=True)
             self.pool.close()
             with contextlib.suppress(OSError):
                 os.unlink(self.socket_path)
@@ -116,6 +122,8 @@ class ServeDaemon:
     # ------------------------------------------------------------------
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
+        task = asyncio.current_task()
+        self._connections.add(task)
         try:
             while True:
                 line = await reader.readline()
@@ -142,6 +150,7 @@ class ServeDaemon:
         except (ConnectionResetError, BrokenPipeError):
             pass                        # client went away mid-reply
         finally:
+            self._connections.discard(task)
             with contextlib.suppress(OSError):
                 writer.close()
 

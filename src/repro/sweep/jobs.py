@@ -71,10 +71,10 @@ class SweepJob:
     #: off-chip bandwidth for slice replacement, bytes per cycle (sliced
     #: mode only; ignored when ``num_slices == 1``)
     offchip_bytes_per_cycle: float = 64.0
-    #: scatter engine ("reference" / "batched"); None defers to
-    #: ``$REPRO_ENGINE`` then the package default.  Only the engine's
-    #: *equivalence class* enters the cache key, so verified-equivalent
-    #: engines share cache entries.
+    #: scatter engine ("reference" / "batched" / "soa"); None defers to
+    #: ``$REPRO_ENGINE`` then the package default (``soa``).  Only the
+    #: engine's *equivalence class* enters the cache key, so
+    #: verified-equivalent engines share cache entries.
     engine: str | None = None
     #: caller-owned labels (dataset key, config name, swept-axis values ...)
     tags: dict[str, Any] = field(default_factory=dict)

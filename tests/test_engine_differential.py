@@ -24,6 +24,7 @@ enforces the contract over
   cache-token sharing, and the tracer's reference-only restriction.
 """
 
+import json
 import warnings
 
 import numpy as np
@@ -240,6 +241,12 @@ class TestEngineSelection:
         assert DEFAULT_ENGINE in ENGINES
         assert resolve_engine("Reference") == "reference"
         assert resolve_engine(None) in ENGINES
+
+    def test_default_is_soa(self, monkeypatch):
+        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
+        assert resolve_engine() == "soa"
+        assert AcceleratorSim(higraph(), star(8),
+                              _make_algorithm("BFS")).engine_name == "soa"
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ConfigError):
@@ -492,6 +499,34 @@ class TestEngineAlternation:
             assert res.stats.to_dict() == ref.stats.to_dict()
             assert np.array_equal(res.properties, ref.properties)
 
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_finished_sim_frees_its_engine_without_gc(self, engine):
+        """No engine is part of a reference cycle: deleting a finished
+        simulator frees its engine (and the soa engine's SoA rings and
+        resident buffers) by reference counting alone."""
+        import gc
+        import weakref
+        graph = rmat(7, 5.0, seed=17, name="rmat7-17")
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            for maker in (higraph, graphdyns, higraph_mini):
+                for algorithm, kwargs in (("BFS", {}),
+                                          ("PR", {"iterations": 3})):
+                    sim = AcceleratorSim(maker(), graph,
+                                         make_algorithm(algorithm, **kwargs),
+                                         engine=engine)
+                    sim.run(source=0)
+                    alive = weakref.ref(sim.engine)
+                    del sim
+                    assert alive() is None, (
+                        f"{engine} engine outlived its simulator "
+                        f"({algorithm} on {maker().name})")
+        finally:
+            if was_enabled:
+                gc.enable()
+
     def test_reachability_fuzzes_through_soa(self):
         """REACH declares max-reduce with an identity process kernel —
         the sixth algorithm exercises the proc=0 kernel path."""
@@ -559,6 +594,30 @@ class TestKernelLoading:
         with warnings.catch_warnings():
             warnings.simplefilter("error")      # once per process
             self._assert_soa_matches_reference()
+
+    def test_default_engine_without_kernel_warns_once_and_matches(
+            self, monkeypatch):
+        """The default engine on a host without its kernel: one warning,
+        then the same bytes as the reference engine."""
+        from repro.accel.engine import soakernel
+        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
+        monkeypatch.setenv(soakernel.KERNEL_ENV_VAR, "off")
+        monkeypatch.setattr(soakernel, "_LIB", False)
+        monkeypatch.setattr(soakernel, "_FAILURE", soakernel._FAILURE)
+        monkeypatch.setattr(soakernel, "_WARNED", False)
+        graph = rmat(7, 5.0, seed=17, name="rmat7-17")
+        cases = (("BFS", {}), ("PR", {"iterations": 3}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            runs = [simulate(higraph(), graph, make_algorithm(alg, **kw))
+                    for alg, kw in cases]
+        assert [w.category for w in caught] == [RuntimeWarning]
+        for res, (alg, kw) in zip(runs, cases):
+            ref = simulate(higraph(), graph, make_algorithm(alg, **kw),
+                           engine="reference")
+            assert (json.dumps(res.stats.to_dict(), sort_keys=True)
+                    == json.dumps(ref.stats.to_dict(), sort_keys=True))
+            assert np.array_equal(res.properties, ref.properties)
 
     def test_kill_switch_is_named_in_the_warning(self, monkeypatch):
         from repro.accel.engine import soakernel

@@ -1,11 +1,13 @@
 """End-to-end tests of the serve daemon over a real unix socket.
 
-Every test runs a daemon on a background thread (``serve_in_thread``)
-with the inline worker pool — same process, so ``monkeypatch`` can
-intercept :func:`repro.sweep.executor.execute_job` to count and gate
-real simulations deterministically.
+Every test runs a daemon on a background thread (``serve_in_thread``),
+almost always with the inline worker pool — same process, so
+``monkeypatch`` can intercept :func:`repro.sweep.executor.execute_job`
+to count and gate real simulations deterministically.  The worker-death
+tests use a fork process pool, whose workers inherit the patch.
 """
 
+import dataclasses
 import json
 import os
 import socket
@@ -174,6 +176,48 @@ class TestDedup:
                 client.fetch(ticket)
             # the daemon survives and keeps serving
             assert client.ping().protocol == protocol.PROTOCOL_VERSION
+
+
+class TestWorkerFaults:
+    """Fault injection on the resident process pool (fork workers
+    inherit the monkeypatched executor)."""
+
+    def test_worker_death_fails_only_its_job_and_pool_respawns(
+            self, sock_dir, monkeypatch):
+        real_execute = executor.execute_job
+
+        def crashing_execute(job):
+            if job.algorithm == "SSSP":
+                os._exit(3)              # a segfault or OOM kill, to the pool
+            return real_execute(job)
+
+        monkeypatch.setattr(executor, "execute_job", crashing_execute)
+        sock = os.path.join(sock_dir, "d.sock")
+        with serve_in_thread(sock, workers=2) as daemon:
+            if daemon.pool.mode != "process":
+                pytest.skip("no process pool on this host")
+            client = ServeClient(sock)
+            doomed = client.submit_sweep(_jobs("SSSP"))
+            beside = client.submit_sweep(_jobs("BFS"))
+            with pytest.raises(ServeError,
+                               match="worker process died while running "
+                                     "SSSP/VT/HiGraph"):
+                client.fetch(doomed)
+            survived = client.fetch(beside)
+            assert daemon.pool.respawns == 1
+            after = client.run_sweep(_jobs("CC"))
+        for done, alg in ((survived, "BFS"), (after, "CC")):
+            assert done.executed == 1
+            job = dataclasses.replace(_jobs(alg)[0], engine="reference")
+            assert done.stats[0] == real_execute(job).to_dict()
+
+    def test_priming_loads_the_kernel(self, monkeypatch):
+        from repro.accel.engine import soakernel
+        from repro.serve.workers import _prime_worker
+        monkeypatch.setattr(soakernel, "_LIB", False)
+        monkeypatch.setattr(soakernel, "_FAILURE", soakernel._FAILURE)
+        _prime_worker()
+        assert soakernel._LIB is not False
 
 
 class TestCacheAndReload:
